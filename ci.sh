@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints as errors, and the tier-1 test suite.
+# Local CI gate: formatting, lints as errors, and every workspace test suite.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test -q
+cargo test --workspace -q
 # The suite must also hold at a fixed multi-worker pool width.
-GSAMPLER_THREADS=2 cargo test -q
+GSAMPLER_THREADS=2 cargo test --workspace -q
 
 # Differential fuzz smoke: 50 arbitrary graphs, every algorithm, every
 # pass ablation, fixed seed. Failures shrink to minimal repros saved in
@@ -52,6 +52,17 @@ GSAMPLER_THREADS=2 ./target/release/gsample graphsage --dataset PD --scale 0.05 
     --require-event fault/kernel \
     --require-event fault/worker.panic
 
+# Walk epochs run through the same epoch driver, so the same recovery
+# holds for DeepWalk: an injected super-batch OOM steps down the ladder
+# and the epoch exits 0. PD 0.05 DeepWalk dispatches no pool regions at
+# 2 workers, so the required layers are named explicitly.
+GSAMPLER_THREADS=2 ./target/release/gsample deepwalk --dataset PD --scale 0.05 \
+    --faults "seed=3;oom:at=2" --trace-out "$TRACE_TMP/walk-chaos.json" >/dev/null
+./target/release/trace-check "$TRACE_TMP/walk-chaos.json" \
+    --require pass,kernel,fault,degrade \
+    --require-event fault/oom \
+    --require-event degrade/superbatch.factor
+
 # Degradation ladder endpoints: an unsatisfiable super-batch budget must
 # be a hard error with recovery disabled, and a degraded-but-successful
 # run with recovery enabled.
@@ -86,6 +97,19 @@ if GSAMPLER_THREADS=2 ./target/release/gsample graphsage --dataset PD --scale 0.
     exit 1
 fi
 ./target/release/trace-check "$TRACE_TMP/deadline.json" \
+    --require-event deadline/set \
+    --require-event deadline/exceeded
+
+# The same for walks. A 0 ms budget fires at the first window boundary,
+# before any kernel runs, so the trace holds the epoch span and the
+# deadline events but no kernel spans.
+if GSAMPLER_THREADS=2 ./target/release/gsample deepwalk --dataset PD --scale 0.05 \
+    --deadline-ms 0 --trace-out "$TRACE_TMP/walk-deadline.json" >/dev/null 2>&1; then
+    echo "gsample finished a DeepWalk epoch inside a 0 ms deadline" >&2
+    exit 1
+fi
+./target/release/trace-check "$TRACE_TMP/walk-deadline.json" \
+    --require pass,epoch,deadline \
     --require-event deadline/set \
     --require-event deadline/exceeded
 

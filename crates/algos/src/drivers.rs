@@ -3,7 +3,6 @@
 //! visit counting, subgraph induction, and bandit arm updates.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,8 +130,13 @@ pub fn run_walk_groups(
         .collect())
 }
 
-/// Run a full walk epoch over `seeds` in mini-batches, returning the
-/// device-session report (and discarding traces — timing runs).
+/// Run a full walk epoch over `seeds` through [`Sampler::drive_epoch`],
+/// returning the device-session report (and discarding traces — timing
+/// runs). Windows group up to `super_batch` mini-batches of the sampler's
+/// configured batch size (not `hyper.batch_size`); window `exec` walks
+/// `hyper.walk_length` steps on stream `epoch * 65_536 + exec`. Walk
+/// epochs therefore get the same deadline, retry, degradation,
+/// quarantine and prefetch behaviour as [`Sampler::run_epoch_with`].
 pub fn run_walk_epoch(
     sampler: &Sampler,
     seeds: &[NodeId],
@@ -140,37 +144,11 @@ pub fn run_walk_epoch(
     node2vec: bool,
     epoch: u64,
 ) -> Result<EpochReport> {
-    sampler.reset_stats();
-    let wall = Instant::now();
-    let factor = sampler.super_batch_factor().max(1);
-    let mut batches = 0usize;
-    let mut chunks = seeds.chunks(hyper.batch_size.max(1)).peekable();
-    let mut exec = 0u64;
-    while chunks.peek().is_some() {
-        let groups: Vec<Vec<NodeId>> = chunks.by_ref().take(factor).map(|c| c.to_vec()).collect();
-        batches += groups.len();
-        run_walk_groups(
-            sampler,
-            groups,
-            hyper.walk_length,
-            node2vec,
-            0.0,
-            epoch * 65_536 + exec,
-        )?;
-        exec += 1;
-    }
-    let mut stats = sampler.device().stats();
-    stats.compact_records();
-    let faults = stats.faults;
-    Ok(EpochReport {
-        modeled_time: stats.total_time,
-        wall_time: wall.elapsed().as_secs_f64(),
-        batches,
-        stats,
-        memory: sampler.device().memory(),
-        super_batch: factor,
-        faults,
-    })
+    let step = |exec, groups| {
+        let stream = epoch * 65_536 + exec;
+        run_walk_groups(sampler, groups, hyper.walk_length, node2vec, 0.0, stream)
+    };
+    sampler.drive_epoch(seeds, epoch, step, |_, _| {})
 }
 
 /// PinSAGE neighbourhoods: run `walks_per_seed` restarts-enabled walks per

@@ -261,72 +261,63 @@ pub fn gsampler_epoch(
     h: &Hyper,
 ) -> Result<EpochEstimate> {
     let total_batches = seeds.len().div_ceil(h.batch_size.max(1));
-    if algo.is_walk() {
+    let factor = sampler.super_batch_factor().max(1);
+    let subset = |batches: usize| &seeds[..(batches * h.batch_size).min(seeds.len())];
+    // The bounded run's report, and the factor from its per-batch cost to
+    // the full epoch's.
+    let (report, scale) = if algo.is_walk() {
         // Bounded steps on a bounded number of batches, stepped together
-        // as one super-batch (the walk analogue of paper §4.4).
-        let steps = h.walk_length.min(MAX_WALK_STEPS);
-        let factor = sampler.super_batch_factor().max(1);
+        // as super-batches (the walk analogue of paper §4.4); the per-step
+        // cost extrapolates to the full walk length.
+        let bounded = Hyper {
+            walk_length: h.walk_length.min(MAX_WALK_STEPS),
+            ..h.clone()
+        };
         let batches = total_batches.min(factor.max(4));
-        sampler.reset_stats();
-        let groups: Vec<Vec<u32>> = seeds
-            .chunks(h.batch_size.max(1))
-            .take(batches)
-            .map(|c| c.to_vec())
-            .collect();
-        let ran = groups.len();
-        drivers::run_walk_groups(sampler, groups, steps, algo == Algo::Node2Vec, 0.0, 1)?;
-        let stats = sampler.device().stats();
-        let per_step_batch = stats.total_time / (ran * steps) as f64;
-        Ok(EpochEstimate {
-            seconds: per_step_batch * (total_batches * h.walk_length) as f64,
-            total_batches,
-            ran_batches: ran,
-            sm_utilization: stats.sm_utilization(),
-            peak_memory: sampler.device().memory().peak(),
-            faults: stats.faults,
-        })
+        let node2vec = algo == Algo::Node2Vec;
+        let report = drivers::run_walk_epoch(sampler, subset(batches), &bounded, node2vec, 0)?;
+        let scale = h.walk_length as f64 / bounded.walk_length.max(1) as f64;
+        (report, scale)
     } else {
-        let factor = sampler.super_batch_factor().max(1);
-        let run_batches = total_batches.min(MAX_BATCHES.max(factor));
-        let subset = &seeds[..(run_batches * h.batch_size).min(seeds.len())];
+        let batches = total_batches.min(MAX_BATCHES.max(factor));
         let bindings = algo.bindings(graph, h);
-        let report = sampler.run_epoch(subset, &bindings, 0)?;
-        let mut per_batch = report.modeled_time / report.batches.max(1) as f64;
-        let mut sm = report.stats.sm_utilization();
-        let mut peak = report.memory.peak();
-        let mut faults = report.faults;
-        if algo == Algo::Shadow {
-            // ShaDow's finalize induces a subgraph on the union of every
-            // sampled node (host-unioned, so outside run_epoch): charge it
-            // per batch from a few real inductions.
-            let induce = drivers::induce_sampler(
-                graph.clone(),
-                SamplerConfig {
-                    opt: OptConfig::all(),
-                    batch_size: h.batch_size,
-                    device: sampler.device().profile().clone(),
-                    ..SamplerConfig::new()
-                },
-            )?;
-            let probe = report.batches.clamp(1, 3);
-            for (i, chunk) in seeds.chunks(h.batch_size.max(1)).take(probe).enumerate() {
-                drivers::shadow_sample(sampler, &induce, chunk, 1000 + i as u64)?;
-            }
-            let induce_stats = induce.device().stats();
-            per_batch += induce_stats.total_time / probe as f64;
-            sm = (sm + induce_stats.sm_utilization()) / 2.0;
-            peak = peak.max(induce.device().memory().peak());
-            faults.merge(&induce_stats.faults);
+        (sampler.run_epoch(subset(batches), &bindings, 0)?, 1.0)
+    };
+    let mut per_batch = report.modeled_time / report.batches.max(1) as f64 * scale;
+    let mut sm = report.stats.sm_utilization();
+    let mut peak = report.memory.peak();
+    let mut faults = report.faults;
+    if algo == Algo::Shadow {
+        // ShaDow's finalize induces a subgraph on the union of every
+        // sampled node (host-unioned, so outside run_epoch): charge it
+        // per batch from a few real inductions.
+        let induce = drivers::induce_sampler(
+            graph.clone(),
+            SamplerConfig {
+                opt: OptConfig::all(),
+                batch_size: h.batch_size,
+                device: sampler.device().profile().clone(),
+                ..SamplerConfig::new()
+            },
+        )?;
+        let probe = report.batches.clamp(1, 3);
+        for (i, chunk) in seeds.chunks(h.batch_size.max(1)).take(probe).enumerate() {
+            drivers::shadow_sample(sampler, &induce, chunk, 1000 + i as u64)?;
         }
-        Ok(EpochEstimate {
-            seconds: per_batch * total_batches as f64,
-            total_batches,
-            ran_batches: report.batches,
-            sm_utilization: sm,
-            peak_memory: peak,
-            faults,
-        })
+        let induce_stats = induce.device().stats();
+        per_batch += induce_stats.total_time / probe as f64;
+        sm = (sm + induce_stats.sm_utilization()) / 2.0;
+        peak = peak.max(induce.device().memory().peak());
+        faults.merge(&induce_stats.faults);
     }
+    Ok(EpochEstimate {
+        seconds: per_batch * total_batches as f64,
+        total_batches,
+        ran_batches: report.batches,
+        sm_utilization: sm,
+        peak_memory: peak,
+        faults,
+    })
 }
 
 /// Measure one DGL-like eager epoch (GPU or CPU profile).

@@ -948,7 +948,32 @@ impl Sampler {
     /// configured size, sampling `super_batch` batches per execution.
     /// `consume` is called once per mini-batch with its sample.
     ///
-    /// Epochs are checkpointed per window: a failed super-batch window is
+    /// This is [`Sampler::drive_epoch`] with the compiled program as the
+    /// step: window `exec` samples on stream `exec` of the epoch's
+    /// sub-pool.
+    pub fn run_epoch_with(
+        &self,
+        seeds: &[NodeId],
+        bindings: &Bindings,
+        epoch: u64,
+        consume: impl FnMut(usize, GraphSample),
+    ) -> Result<EpochReport> {
+        let pool = self.pool.subpool(epoch);
+        let step = |exec, groups| self.sample_groups(groups, bindings, &mut pool.stream(exec));
+        self.drive_epoch(seeds, epoch, step, consume)
+    }
+
+    /// The epoch driver every epoch loop runs on. Goes through `seeds`
+    /// once in mini-batches of the configured size, handing up to
+    /// `super_batch` batches per window to `step(exec, groups)`, which
+    /// must return one result per group; `consume` is then called once
+    /// per mini-batch with its result. `exec` counts windows from 0 and
+    /// is the step's RNG stream index, so a rerun replays every window
+    /// bit-identically.
+    ///
+    /// The driver owns the epoch's deadline and cancellation scope, the
+    /// watchdog accounting, prefetch, and the report. Epochs are
+    /// checkpointed per window: a failed super-batch window is
     /// re-executed — walking the degradation ladder (halve the factor →
     /// per-minibatch execution → streaming layout) under memory pressure —
     /// without redoing batches that already succeeded. Windows that
@@ -956,12 +981,12 @@ impl Sampler {
     /// the [`FaultReport`]) when the policy allows, and fail the epoch
     /// otherwise. Mini-batch indices passed to `consume` stay stable
     /// across quarantines.
-    pub fn run_epoch_with(
+    pub fn drive_epoch<T>(
         &self,
         seeds: &[NodeId],
-        bindings: &Bindings,
         epoch: u64,
-        mut consume: impl FnMut(usize, GraphSample),
+        mut step: impl FnMut(u64, Vec<Vec<NodeId>>) -> Result<Vec<T>>,
+        mut consume: impl FnMut(usize, T),
     ) -> Result<EpochReport> {
         self.device.reset();
         let mut epoch_span = gsampler_obs::span("epoch", "run_epoch");
@@ -998,7 +1023,6 @@ impl Sampler {
         let wall_start = Instant::now();
         let batch = self.config.batch_size.max(1);
         let policy = &self.config.recovery;
-        let pool = self.pool.subpool(epoch);
         // Prefetch stage (Snippet 3's `prefetch_node_feats`): while a
         // window's sampling computes, a helper thread extracts that
         // window's seed features — sampling never reads them, the
@@ -1087,8 +1111,7 @@ impl Sampler {
                     }
                 }
                 let window_batches = groups.len();
-                let mut rng = pool.stream(exec_idx);
-                match self.sample_groups(groups, bindings, &mut rng) {
+                match step(exec_idx, groups) {
                     Ok(samples) => {
                         exec_idx += 1;
                         start = end;

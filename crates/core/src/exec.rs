@@ -1,7 +1,7 @@
 //! The program executor: a thin driver over the kernel registry
 //! ([`crate::kernels`]).
 //!
-//! `execute` walks the program in topological order, resolves every
+//! `execute_session` walks the program in topological order, resolves every
 //! operator through [`crate::kernels::kernel_for`] via the instrumented
 //! [`crate::kernels::dispatch`] entry point (which charges modeled device
 //! time, SM utilization, and host wall-clock time per invocation), and
@@ -16,8 +16,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use rand::rngs::StdRng;
 
 use gsampler_engine::Device;
 use gsampler_ir::costing;
@@ -120,37 +118,13 @@ pub fn scatter_exact(program: &Program) -> bool {
 ///
 /// Returns one value list per group (in `program.outputs()` order). With a
 /// single group this is ordinary mini-batch execution; with several, the
-/// groups are sampled together as one super-batch.
-// The parameters are the execution context in full; bundling them into a
-// struct would only move the same list one level down.
-#[allow(clippy::too_many_arguments)]
-pub fn execute(
-    program: &Program,
-    graph: &Graph,
-    graph_value: &Arc<Value>,
-    frontier_groups: &[Vec<NodeId>],
-    bindings: &Bindings,
-    precomputed: &[Arc<Value>],
-    device: &Device,
-    rng: &mut StdRng,
-) -> Result<Vec<Vec<Value>>> {
-    execute_session(
-        program,
-        graph,
-        graph_value,
-        frontier_groups,
-        bindings,
-        precomputed,
-        device,
-        SessionRng::Shared(rng),
-    )
-}
-
-/// [`execute`] with an explicit RNG view: [`SessionRng::Shared`] is the
-/// historical single-stream semantics; [`SessionRng::PerGroup`] gives each
+/// groups are sampled together as one super-batch. [`SessionRng::Shared`]
+/// draws every group from one stream; [`SessionRng::PerGroup`] gives each
 /// frontier group its own stream (one per group, validated against the
 /// group count) so packing independent callers into one super-batch is
 /// RNG-invisible to each of them.
+// The parameters are the execution context in full; bundling them into a
+// struct would only move the same list one level down.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_session(
     program: &Program,
@@ -244,7 +218,8 @@ pub fn execute_session(
 }
 
 /// Borrows of everything the node-evaluation loop touches, split out of
-/// [`execute`] so the error path can inspect the environment afterwards.
+/// [`execute_session`] so the error path can inspect the environment
+/// afterwards.
 struct RunArgs<'a, 'b, 'c> {
     program: &'a Program,
     graph_value: &'a Arc<Value>,

@@ -6,9 +6,9 @@
 //! dense algebra), [`eltwise`] (edge-map, reduce, vector ops),
 //! [`walk`] (random-walk frontier ops) — with [`superbatch`] providing
 //! the segmented block-diagonal wrappers over the same base kernels
-//! (paper §4.4). The standard executor (`exec::execute`), the super-batch
-//! path, the multi-GPU shards, and the DGL-like eager baseline all
-//! resolve operators through [`kernel_for`] and therefore run the *same
+//! (paper §4.4). The standard executor (`exec::execute_session`), the
+//! super-batch path, the multi-GPU shards, and the DGL-like eager
+//! baseline all resolve operators through [`kernel_for`] and run the *same
 //! math*; what differs between them is pure scheduling policy (fusion,
 //! pre-processing, layout choice, dispatch surcharges).
 //!

@@ -97,6 +97,11 @@ pub type WorkerFaultHook = Arc<dyn Fn() -> Option<WorkerFault> + Send + Sync>;
 static FAULT_HOOK_ON: AtomicBool = AtomicBool::new(false);
 static FAULT_HOOK: OnceLock<Mutex<Option<WorkerFaultHook>>> = OnceLock::new();
 
+/// Serializes the unit tests that mutate process-global runtime state:
+/// the worker fault hook and the watchdog threshold override.
+#[cfg(test)]
+pub(crate) static TEST_GLOBALS: Mutex<()> = Mutex::new(());
+
 /// Install (or, with `None`, remove) the worker fault-injection hook.
 /// With no hook installed the per-region cost is one relaxed atomic load.
 pub fn set_worker_fault_hook(hook: Option<WorkerFaultHook>) {
@@ -945,6 +950,12 @@ mod tests {
     /// A hook that injects `fault` for the first region dispatched from
     /// the installing thread. Filtering on the thread id keeps concurrent
     /// tests in this binary from consuming each other's faults.
+    /// Hold [`TEST_GLOBALS`] for the rest of the test (a test that
+    /// panicked while holding it poisons nothing the next one needs).
+    fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
+        TEST_GLOBALS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn one_shot_hook(fault: WorkerFault) -> WorkerFaultHook {
         let me = std::thread::current().id();
         let fired = Arc::new(AtomicBool::new(false));
@@ -987,6 +998,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
+        let _g = lock_globals();
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Panic)));
         let result = catch_unwind(|| parallel_map(10_000, 1, |i| i * 3));
         set_worker_fault_hook(None);
@@ -1006,6 +1018,7 @@ mod tests {
         // other tests in this binary only run short shares, so the
         // lowered bound cannot misfire on them (warnings are the worst
         // case, and those are observational).
+        let _g = lock_globals();
         crate::watchdog::set_stall_threshold_ms(Some(40));
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Hang)));
         let before = crate::watchdog::watchdog_metrics();
@@ -1030,10 +1043,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
-        // Serialize against the reclaim test above: both mutate the
-        // process-global threshold override.
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = lock_globals();
         crate::watchdog::set_stall_threshold_ms(Some(0));
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Hang)));
         let started = Instant::now();
@@ -1094,6 +1104,7 @@ mod tests {
         if num_threads() < 2 {
             return;
         }
+        let _g = lock_globals();
         set_worker_fault_hook(Some(one_shot_hook(WorkerFault::Stall { ms: 2 })));
         let out = parallel_map(10_000, 1, |i| i + 7);
         set_worker_fault_hook(None);

@@ -232,6 +232,9 @@ mod tests {
 
     #[test]
     fn threshold_override_wins_and_restores() {
+        let _g = crate::parallel::TEST_GLOBALS
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let base = stall_threshold_ms();
         set_stall_threshold_ms(Some(12345));
         assert_eq!(stall_threshold_ms(), 12345);

@@ -5,8 +5,10 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use gsampler_core::{Bindings, OptConfig};
+use gsampler_algos::drivers;
+use gsampler_core::{Bindings, EpochReport, OptConfig};
 use gsampler_engine::faults::{self, FaultSpec};
+use gsampler_engine::FaultReport;
 use gsampler_testkit::chaos::{chaos_lock, drive_fingerprint, run_schedule};
 use gsampler_testkit::drive::compile_algorithm;
 use gsampler_testkit::gen::{GraphSpec, Topology};
@@ -207,4 +209,56 @@ fn quarantine_keeps_the_epoch_alive_under_unrecoverable_faults() {
     assert_eq!(consumed, 0, "nothing recoverable was produced");
     assert_eq!(report.faults.quarantined_batches, 4);
     assert_eq!(report.batches, 4, "indices stay stable across quarantine");
+}
+
+/// What reruns of one walk epoch must agree on: modeled time (bits),
+/// batches, launches, bytes, and the fault report.
+fn walk_print(r: &EpochReport) -> (u64, usize, u64, u64, FaultReport) {
+    (
+        r.modeled_time.to_bits(),
+        r.batches,
+        r.stats.kernel_launches,
+        r.stats.total_bytes,
+        r.faults,
+    )
+}
+
+#[test]
+fn walk_epochs_walk_the_ladder_under_a_super_batch_oom() {
+    let _g = chaos_lock();
+    let spec = adversarial_spec();
+    let graph = spec.build();
+    let h = oracle_hyper();
+    let mut opt = OptConfig::all();
+    opt.super_batch = 4;
+    // Four batches of 8: one window at factor 4.
+    let seeds: Vec<u32> = (0..32).map(|i| i % graph.num_nodes() as u32).collect();
+    for (algo, node2vec) in [("DeepWalk", false), ("Node2Vec", true)] {
+        let sampler = compile_algorithm(&graph, algo, &h, opt.clone(), 11, 8, None)
+            .expect("compile")
+            .expect("no fault requested");
+        assert_eq!(sampler.super_batch_factor(), 4);
+        for at in 1..=3 {
+            let schedule = format!("oom:at={at}");
+            let run = || {
+                faults::install(FaultSpec::parse(&schedule).unwrap());
+                let report = drivers::run_walk_epoch(&sampler, &seeds, &h, node2vec, 0)
+                    .unwrap_or_else(|e| panic!("{algo} {schedule}: OOM must be absorbed: {e}"));
+                (walk_print(&report), faults::injected())
+            };
+            let (first, injected) = run();
+            let (rerun, injected2) = run();
+            faults::clear();
+            assert_eq!(first, rerun, "{algo} {schedule}: reruns must agree");
+            assert_eq!(injected, injected2, "{algo} {schedule}");
+            assert_eq!(injected.oom, 1, "{algo} {schedule}: {injected:?}");
+            let (_, batches, _, _, faults) = first;
+            assert_eq!(batches, 4, "{algo} {schedule}: every batch counted");
+            assert_eq!(faults.injected_oom, 1, "{algo} {schedule}: {faults:?}");
+            assert!(
+                faults.degrade_steps >= 1,
+                "{algo} {schedule}: a super-batch OOM must step down the ladder: {faults:?}"
+            );
+        }
+    }
 }

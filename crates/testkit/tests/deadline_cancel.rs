@@ -9,7 +9,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-use gsampler_core::{compile, Bindings, OptConfig, Sampler};
+use gsampler_algos::drivers;
+use gsampler_core::{compile, Bindings, EpochReport, OptConfig, Sampler};
 use gsampler_runtime::{arena_metrics, watchdog_metrics, CancelToken};
 use gsampler_testkit::chaos::{chaos_lock, run_schedule};
 use gsampler_testkit::drive::sampler_config;
@@ -41,12 +42,16 @@ fn pool_heavy_spec() -> GraphSpec {
     }
 }
 
-fn graphsage_layers(h: &gsampler_algos::Hyper) -> Vec<gsampler_core::builder::Layer> {
+fn registry_layers(h: &gsampler_algos::Hyper, name: &str) -> Vec<gsampler_core::builder::Layer> {
     gsampler_algos::all_algorithms(h)
         .into_iter()
-        .find(|s| s.name == "GraphSAGE")
-        .expect("GraphSAGE is registered")
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("{name} is registered"))
         .layers
+}
+
+fn graphsage_layers(h: &gsampler_algos::Hyper) -> Vec<gsampler_core::builder::Layer> {
+    registry_layers(h, "GraphSAGE")
 }
 
 /// Run one epoch collecting a per-batch hash of every sample.
@@ -250,4 +255,95 @@ fn mid_epoch_cancel_leaves_pool_and_arenas_reusable() {
         delta.hits, delta.takes,
         "post-cancel epoch allocated fresh scratch: {delta:?}"
     );
+}
+
+/// What reruns of one walk epoch must agree on: modeled time (bits),
+/// batches, launches and bytes.
+fn walk_print(r: &EpochReport) -> (u64, usize, u64, u64) {
+    (
+        r.modeled_time.to_bits(),
+        r.batches,
+        r.stats.kernel_launches,
+        r.stats.total_bytes,
+    )
+}
+
+#[test]
+fn walk_epochs_stop_on_zero_deadlines_and_between_window_cancels() {
+    let _g = chaos_lock();
+    let spec = GraphSpec {
+        topology: Topology::PowerLaw,
+        nodes: 48,
+        edges: 220,
+        weighted: true,
+        self_loops: true,
+        duplicate_edges: true,
+        dangling: false,
+        seed: 0x3A1C,
+    };
+    let graph = spec.build();
+    let h = oracle_hyper();
+    // Four batches of 8 in two windows at factor 2.
+    let seeds: Vec<u32> = (0..32).map(|i| i % graph.num_nodes() as u32).collect();
+    let config = || sampler_config(OptConfig::all().with_super_batch(2), 11, 8);
+    for (algo, node2vec) in [("DeepWalk", false), ("Node2Vec", true)] {
+        let layers = registry_layers(&h, algo);
+        let clean_sampler = compile(graph.clone(), layers.clone(), config()).unwrap();
+        assert_eq!(clean_sampler.super_batch_factor(), 2, "{algo}");
+        let clean = drivers::run_walk_epoch(&clean_sampler, &seeds, &h, node2vec, 0)
+            .unwrap_or_else(|e| panic!("{algo}: clean walk epoch failed: {e}"));
+        assert_eq!(clean.batches, 4, "{algo}");
+
+        // An already-expired deadline fails the walk epoch at the first
+        // window boundary, typed, on every rerun.
+        let mut expired = config();
+        expired.deadline = Some(Duration::ZERO);
+        let sampler = compile(graph.clone(), layers.clone(), expired).unwrap();
+        for _ in 0..2 {
+            let err = drivers::run_walk_epoch(&sampler, &seeds, &h, node2vec, 0)
+                .expect_err("a zero deadline must fail the walk epoch");
+            assert!(err.is_deadline() && err.is_cancelled(), "{algo}: got {err}");
+        }
+
+        // A token fired after the first window stops the epoch at the
+        // next window boundary. The step is `run_walk_epoch`'s own (epoch
+        // 0: window `exec` walks on stream `exec`), with a consume
+        // callback to fire the token from.
+        let token = CancelToken::new();
+        let mut cancelled = config();
+        cancelled.cancel = Some(token.clone());
+        let sampler = compile(graph.clone(), layers, cancelled).unwrap();
+        let step = |exec, groups| {
+            drivers::run_walk_groups(&sampler, groups, h.walk_length, node2vec, 0.0, exec)
+        };
+        let mut delivered = 0usize;
+        let err = sampler
+            .drive_epoch(&seeds, 0, step, |idx, _| {
+                delivered += 1;
+                if idx == 1 {
+                    token.cancel();
+                }
+            })
+            .expect_err("a cancelled walk epoch must not complete");
+        assert!(
+            err.is_cancelled() && !err.is_deadline(),
+            "{algo}: got {err}"
+        );
+        assert_eq!(delivered, 2, "{algo}: only the first window is delivered");
+        // The fired token is sticky: `run_walk_epoch` stops at its first
+        // window boundary with the same typed error, on every rerun.
+        for _ in 0..2 {
+            let err = drivers::run_walk_epoch(&sampler, &seeds, &h, node2vec, 0)
+                .expect_err("a fired token must stop the walk epoch");
+            assert!(
+                err.is_cancelled() && !err.is_deadline(),
+                "{algo}: got {err}"
+            );
+        }
+
+        // The abandoned epochs left nothing behind: a clean rerun is
+        // bit-identical.
+        let rerun = drivers::run_walk_epoch(&clean_sampler, &seeds, &h, node2vec, 0).unwrap();
+        assert_eq!(walk_print(&clean), walk_print(&rerun), "{algo}");
+    }
 }
